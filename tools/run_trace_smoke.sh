@@ -5,7 +5,8 @@
 #
 # Phases:
 #   1. fixtures: the committed valid/corrupt samples verify the way
-#      they are documented to; a SimpleO3 text sample converts.
+#      they are documented to; both SimpleO3 text samples
+#      (simpleo3_stream, simpleo3_pointer) convert and verify.
 #   2. record/replay: four traces recorded with shelfsim_trace, one
 #      sweep cell replaced by them (--trace-cell); every other cell
 #      of the 28-cell sweep stays byte-identical to a plain sweep.
@@ -65,6 +66,11 @@ grep -q "CrcMismatch" "$tmp/verr" \
     || fail "SimpleO3 sample did not convert"
 "$trc" verify "$tmp/imported.shlftrc" >/dev/null \
     || fail "converted SimpleO3 trace does not verify"
+"$trc" convert --simpleo3 "$data/simpleo3_pointer.trace" \
+    "$tmp/pointer.shlftrc" >/dev/null \
+    || fail "SimpleO3 pointer-chase sample did not convert"
+"$trc" verify "$tmp/pointer.shlftrc" >/dev/null \
+    || fail "converted SimpleO3 pointer-chase trace does not verify"
 
 # --- Phase 2: record four traces, replay them as one sweep cell ----
 for t in 0 1 2 3; do
