@@ -1,5 +1,6 @@
 #include "sim/launcher.hh"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <spawn.h>
@@ -113,13 +114,18 @@ LocalSpawnLauncher::launch(const std::string &specJson,
     }
     envp.push_back(nullptr);
 
+    // Close-on-exec, so that workers spawned concurrently from other
+    // pool threads do not inherit this attempt's pipe ends: a copy of
+    // the write end held by a hung sibling would withhold EOF from
+    // this worker's reader until the sibling is killed. The dup2()
+    // file actions below give the child its own, inheritable copies.
     int outPipe[2], errPipe[2];
-    if (pipe(outPipe) != 0) {
+    if (pipe2(outPipe, O_CLOEXEC) != 0) {
         at.exitCode = 127;
         at.stderrTail = csprintf("pipe: %s", strerror(errno));
         return at;
     }
-    if (pipe(errPipe) != 0) {
+    if (pipe2(errPipe, O_CLOEXEC) != 0) {
         at.exitCode = 127;
         at.stderrTail = csprintf("pipe: %s", strerror(errno));
         close(outPipe[0]);

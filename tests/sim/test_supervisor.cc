@@ -232,6 +232,38 @@ TEST(Supervisor, WatchdogKillsStoppedWorker)
     EXPECT_EQ(outcomes[0].termSignal, SIGKILL);
 }
 
+TEST(Supervisor, HungWorkerDoesNotStallSiblings)
+{
+    // Workers spawned side by side must not inherit each other's
+    // pipes. If the hung worker holds a copy of a fast sibling's
+    // stdout write end, the sibling's supervisor thread sees EOF
+    // only when the hang is killed, so the fast job overruns its
+    // own watchdog and is wrongly reported as timed out.
+    SupervisorOptions opt;
+    opt.isolate = true;
+    opt.retries = 0;
+    opt.timeoutSeconds = 2;
+    opt.jobs = 12;
+    SweepSupervisor sup(opt);
+    std::vector<validate::SweepJobSpec> specs;
+    for (uint64_t s = 1; s <= 11; ++s) {
+        specs.push_back(tinySpec(s));
+        if (s == 6)
+            specs.push_back(tinySpec(s, "hang"));
+    }
+    auto outcomes = sup.run(specs);
+    ASSERT_EQ(outcomes.size(), specs.size());
+    for (size_t i = 0; i < specs.size(); ++i) {
+        if (specs[i].fault == "hang") {
+            EXPECT_TRUE(outcomes[i].timedOut) << "job " << i;
+            continue;
+        }
+        EXPECT_TRUE(outcomes[i].ok())
+            << "fast job " << i << " stalled behind the hung worker";
+        EXPECT_FALSE(outcomes[i].timedOut) << "job " << i;
+    }
+}
+
 TEST(Supervisor, JournalResumeReplaysByteIdentically)
 {
     TempJournal journal("resume");

@@ -12,7 +12,9 @@
 #   3. resume: kill the orchestrator mid-sweep (SIGKILL, so nothing
 #      can clean up), then rerun with --resume on the same journal;
 #      the merged output must be byte-identical to the reference and
-#      already-journaled jobs must not run again.
+#      already-journaled jobs must not run again. The last job of the
+#      killed run hangs, so the kill always lands before the sweep
+#      can finish, however late this script gets to deliver it.
 
 set -eu
 
@@ -70,18 +72,32 @@ while IFS= read -r row; do
 done <"$tmp/faulty.rows"
 
 # --- Phase 3: SIGKILL the orchestrator mid-sweep, then resume ------
-"$cli" $sweep --isolate --jobs 1 --journal "$tmp/resume.jsonl" \
-    >/dev/null 2>&1 &
+# Job 5 (the last one) hangs and no watchdog is set, so at most 5 of
+# the 6 jobs can be journaled when the kill arrives.
+"$cli" $sweep --isolate --jobs 1 --inject-fault '5=hang' \
+    --journal "$tmp/resume.jsonl" >/dev/null 2>&1 &
 pid=$!
+
+# SIGKILL the orchestrator and the worker it is running (the hung one
+# would otherwise outlive it). Stopping it first keeps it from
+# spawning another worker in between.
+kill_orchestrator() {
+    kill -STOP "$pid" 2>/dev/null || true
+    for child in $(pgrep -P "$pid"); do
+        kill -9 "$child" 2>/dev/null || true
+    done
+    kill -9 "$pid" 2>/dev/null || true
+    wait "$pid" 2>/dev/null || true
+}
+
 # Wait until at least one record is journaled, then pull the plug.
 tries=0
 while [ ! -s "$tmp/resume.jsonl" ]; do
     tries=$((tries + 1))
-    [ "$tries" -lt 200 ] || { kill -9 "$pid"; fail "journal never grew"; }
+    [ "$tries" -lt 200 ] || { kill_orchestrator; fail "journal never grew"; }
     sleep 0.1
 done
-kill -9 "$pid" 2>/dev/null || true
-wait "$pid" 2>/dev/null || true
+kill_orchestrator
 [ -s "$tmp/resume.jsonl" ] || fail "journal empty after kill"
 before=$(wc -l <"$tmp/resume.jsonl")
 
