@@ -14,7 +14,11 @@
  *                                 exit 1 on a >threshold regression
  *                                 or on any behavioural divergence
  *                                 (retired-instruction counts are
- *                                 cycle-exact and machine-independent)
+ *                                 cycle-exact and machine-independent).
+ *                                 FILE is read before measuring and
+ *                                 nothing is written, so a check of
+ *                                 ./BENCH_core.json compares against
+ *                                 the committed record, not itself
  *   bench_hotpath --threshold X   override every per-workload
  *                                 threshold with one global fraction
  *
@@ -215,24 +219,36 @@ writeJson(const std::vector<WorkloadResult> &results)
     }
 }
 
-int
-check(const std::vector<WorkloadResult> &results,
-      const std::string &baseline_path, double threshold)
+/** Read the baseline's workload records into @p doc; false (with a
+ * message) when the file is missing or malformed. */
+bool
+loadBaseline(const std::string &path, JsonValue &doc)
 {
-    std::ifstream in(baseline_path);
+    std::ifstream in(path);
     if (!in) {
         fprintf(stderr, "bench_hotpath: cannot open baseline %s\n",
-                baseline_path.c_str());
-        return 1;
+                path.c_str());
+        return false;
     }
     std::stringstream ss;
     ss << in.rdbuf();
-    JsonValue doc = parseJson(ss.str());
-    const JsonValue *wls = doc.find("workloads");
+    std::string err;
+    const JsonValue *wls = nullptr;
+    if (tryParseJson(ss.str(), doc, &err))
+        wls = doc.find("workloads");
     if (!wls || !wls->isArray()) {
-        fprintf(stderr, "bench_hotpath: malformed baseline\n");
-        return 1;
+        fprintf(stderr, "bench_hotpath: malformed baseline %s\n",
+                path.c_str());
+        return false;
     }
+    return true;
+}
+
+int
+check(const std::vector<WorkloadResult> &results,
+      const JsonValue &doc, double threshold)
+{
+    const JsonValue *wls = doc.find("workloads");
     int rc = 0;
     for (const auto &r : results) {
         const JsonValue *base = nullptr;
@@ -304,6 +320,12 @@ main(int argc, char **argv)
         }
     }
 
+    // Read the baseline before measuring: the measurement must not
+    // be able to replace what it is checked against.
+    JsonValue baselineDoc;
+    if (!baseline.empty() && !loadBaseline(baseline, baselineDoc))
+        return 1;
+
     std::vector<WorkloadResult> results;
 
     {
@@ -338,9 +360,8 @@ main(int argc, char **argv)
                 (unsigned long long)r.retired);
     }
 
-    writeJson(results);
-
     if (!baseline.empty())
-        return check(results, baseline, threshold);
+        return check(results, baselineDoc, threshold);
+    writeJson(results);
     return 0;
 }

@@ -94,11 +94,17 @@ Random::geometric(double p)
     if (p >= 1.0)
         return 0;
     panic_if(p <= 0.0, "geometric with p <= 0");
+    return geometricLog(std::log1p(-p));
+}
+
+uint64_t
+Random::geometricLog(double log1mp)
+{
     double u = real();
     // Avoid log(0).
     if (u <= 0.0)
         u = 0x1.0p-53;
-    return static_cast<uint64_t>(std::log(u) / std::log1p(-p));
+    return static_cast<uint64_t>(std::log(u) / log1mp);
 }
 
 size_t

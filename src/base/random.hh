@@ -46,6 +46,14 @@ class Random
      */
     uint64_t geometric(double p);
 
+    /**
+     * geometric(p) for p < 1, given @p log1mp = log1p(-p): callers
+     * that sample one distribution many times hoist the constant log
+     * out of the loop. Consumes and returns exactly what
+     * geometric(p) would.
+     */
+    uint64_t geometricLog(double log1mp);
+
     /** Sample an index according to non-negative weights. */
     size_t weighted(const std::vector<double> &weights);
 

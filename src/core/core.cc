@@ -33,8 +33,33 @@ eventHorizon(const CoreParams &p, const MemHierarchy &mem)
 
 } // namespace
 
+Core::Sources
+Core::viewTraces(const std::vector<const Trace *> &traces)
+{
+    Sources s;
+    for (const Trace *tr : traces) {
+        if (!tr || tr->empty()) {
+            s.ptrs.push_back(nullptr);
+            continue;
+        }
+        s.owned.push_back(std::make_unique<InstSource>(*tr));
+        s.ptrs.push_back(s.owned.back().get());
+    }
+    return s;
+}
+
 Core::Core(const CoreParams &params, MemHierarchy &mem_,
            std::vector<const Trace *> traces)
+    : Core(params, mem_, viewTraces(traces))
+{}
+
+Core::Core(const CoreParams &params, MemHierarchy &mem_,
+           std::vector<InstSource *> sources)
+    : Core(params, mem_, Sources{ std::move(sources), {} })
+{}
+
+Core::Core(const CoreParams &params, MemHierarchy &mem_,
+           Sources sources)
     : coreParams(params), mem(mem_),
       gshare(13, 4, params.threads),
       eventQueue(eventHorizon(params, mem_)),
@@ -42,8 +67,8 @@ Core::Core(const CoreParams &params, MemHierarchy &mem_,
       recorder(params.flightRecorderEvents)
 {
     coreParams.validate();
-    fatal_if(traces.size() != coreParams.threads,
-             "%zu traces for %u threads", traces.size(),
+    fatal_if(sources.ptrs.size() != coreParams.threads,
+             "%zu traces for %u threads", sources.ptrs.size(),
              coreParams.threads);
     fetchBufCap = coreParams.fetchBufferCapacity();
 
@@ -78,10 +103,10 @@ Core::Core(const CoreParams &params, MemHierarchy &mem_,
 
     threads.resize(coreParams.threads);
     for (unsigned t = 0; t < coreParams.threads; ++t) {
-        fatal_if(!traces[t] || traces[t]->empty(),
-                 "empty trace for thread %u", t);
-        threads[t].trace = traces[t];
+        fatal_if(!sources.ptrs[t], "empty trace for thread %u", t);
+        threads[t].source = sources.ptrs[t];
     }
+    traceViews = std::move(sources.owned);
 
     coreStats.retired.assign(coreParams.threads, 0);
 
@@ -113,12 +138,6 @@ Core::tracePipe(const char *stage, const DynInst &inst) const
                        (unsigned long long)now, inst.tid,
                        (unsigned long long)inst.seq, stage,
                        inst.si.toString().c_str()));
-}
-
-const TraceInst &
-Core::traceAt(const ThreadState &ts, uint64_t cursor) const
-{
-    return (*ts.trace)[cursor % ts.trace->size()];
 }
 
 void

@@ -46,6 +46,7 @@
 #include "diag/flight_recorder.hh"
 #include "mem/hierarchy.hh"
 #include "workload/generator.hh"
+#include "workload/inst_source.hh"
 
 namespace shelf
 {
@@ -144,6 +145,13 @@ class Core
      */
     Core(const CoreParams &params, MemHierarchy &mem,
          std::vector<const Trace *> traces);
+
+    /**
+     * @param sources one instruction source per hardware thread
+     *        (externally owned; the core extends them as it fetches)
+     */
+    Core(const CoreParams &params, MemHierarchy &mem,
+         std::vector<InstSource *> sources);
     ~Core();
 
     /** Advance one cycle. */
@@ -367,7 +375,7 @@ class Core
 
     struct ThreadState
     {
-        const Trace *trace = nullptr;
+        InstSource *source = nullptr;
         uint64_t cursor = 0;      ///< monotonic; index = cursor % size
         Cycle fetchStallUntil = 0;
         SeqNum nextSeq = 0;
@@ -520,8 +528,23 @@ class Core
                         const DynInstPtr &inst) const;
     void verifyInvariants() const;
 
-    const TraceInst &traceAt(const ThreadState &ts,
-                             uint64_t cursor) const;
+    const TraceInst &
+    traceAt(const ThreadState &ts, uint64_t cursor) const
+    {
+        return ts.source->at(cursor);
+    }
+
+    /** Sources and the views the trace constructor makes. */
+    struct Sources
+    {
+        std::vector<InstSource *> ptrs;
+        std::vector<std::unique_ptr<InstSource>> owned;
+    };
+    static Sources viewTraces(const std::vector<const Trace *> &traces);
+    Core(const CoreParams &params, MemHierarchy &mem, Sources sources);
+
+    /** Views over the traces given to the trace constructor. */
+    std::vector<std::unique_ptr<InstSource>> traceViews;
 
     CoreParams coreParams;
     MemHierarchy &mem;

@@ -15,7 +15,7 @@ Cache::Cache(const CacheParams &params)
     fatal_if(bytes % (params.blockBytes * params.assoc) != 0,
              "%s: size not divisible by way size", params.name.c_str());
     numSets = bytes / (params.blockBytes * params.assoc);
-    sets.assign(numSets, std::vector<Line>(params.assoc));
+    lines.assign(numSets * params.assoc, Line());
 }
 
 Cache::Outcome
@@ -24,7 +24,7 @@ Cache::lookup(Addr addr, bool write, Cycle now)
     Outcome out;
     ++accesses;
     Addr block = blockAlign(addr);
-    auto &set = sets[setIndex(block)];
+    std::span<Line> set = setOf(block);
 
     // Drop completed fills from the MSHR pool lazily.
     for (auto it = inflight.begin(); it != inflight.end();) {
@@ -76,7 +76,7 @@ void
 Cache::install(Addr addr, bool write, Cycle now, Cycle ready_at)
 {
     Addr block = blockAlign(addr);
-    auto &set = sets[setIndex(block)];
+    std::span<Line> set = setOf(block);
 
     // Victim selection: an invalid way first, then the LRU way whose
     // fill has completed. Lines still being filled are pinned (the
@@ -116,7 +116,7 @@ void
 Cache::touch(Addr addr)
 {
     Addr block = blockAlign(addr);
-    auto &set = sets[setIndex(block)];
+    std::span<Line> set = setOf(block);
     for (auto &line : set) {
         if (line.valid && line.tag == block) {
             line.lastUse = ++useCounter;
@@ -143,7 +143,7 @@ Cycle
 Cache::residentReadyAt(Addr addr) const
 {
     Addr block = blockAlign(addr);
-    const auto &set = sets[setIndex(block)];
+    std::span<const Line> set = setOf(block);
     for (const auto &line : set)
         if (line.valid && line.tag == block)
             return line.readyAt;
@@ -154,7 +154,7 @@ bool
 Cache::probe(Addr addr, Cycle now) const
 {
     Addr block = blockAlign(addr);
-    const auto &set = sets[setIndex(block)];
+    std::span<const Line> set = setOf(block);
     for (const auto &line : set)
         if (line.valid && line.tag == block && line.readyAt <= now)
             return true;
@@ -174,9 +174,8 @@ Cache::resetStats()
 void
 Cache::flush()
 {
-    for (auto &set : sets)
-        for (auto &line : set)
-            line = Line();
+    for (auto &line : lines)
+        line = Line();
     inflight.clear();
     useCounter = 0;
 }

@@ -16,6 +16,7 @@
 #define SHELFSIM_MEM_CACHE_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -124,10 +125,25 @@ class Cache
         return static_cast<size_t>((h >> 24) % numSets);
     }
 
+    /** The ways of @p block's set. */
+    std::span<Line>
+    setOf(Addr block)
+    {
+        return { lines.data() + setIndex(block) * cacheParams.assoc,
+                 cacheParams.assoc };
+    }
+    std::span<const Line>
+    setOf(Addr block) const
+    {
+        return { lines.data() + setIndex(block) * cacheParams.assoc,
+                 cacheParams.assoc };
+    }
+
     CacheParams cacheParams;
     unsigned blockBytes_;
     size_t numSets;
-    std::vector<std::vector<Line>> sets;
+    /** numSets x assoc lines, set-major. */
+    std::vector<Line> lines;
     uint64_t useCounter = 0;
 
     /** In-flight fills by block address -> completion cycle. */

@@ -67,9 +67,9 @@ standardMixes(unsigned threads, uint64_t seed)
                                num_benchmarks, seed);
 }
 
-SystemResult
-runMix(const CoreParams &core, const WorkloadMix &mix,
-       const SimControls &ctl)
+SystemConfig
+mixConfig(const CoreParams &core, const WorkloadMix &mix,
+          const SimControls &ctl)
 {
     SystemConfig cfg;
     cfg.core = core;
@@ -78,9 +78,18 @@ runMix(const CoreParams &core, const WorkloadMix &mix,
     cfg.measureCycles = ctl.measureCycles;
     cfg.numCores = ctl.numCores;
     cfg.allocation = ctl.allocation;
+    cfg.warmMemo = ctl.warmMemo;
     const auto &profiles = spec2006Profiles();
     for (size_t b : mix.benchmarks)
         cfg.benchmarks.push_back(profiles[b].name);
+    return cfg;
+}
+
+SystemResult
+runMix(const CoreParams &core, const WorkloadMix &mix,
+       const SimControls &ctl)
+{
+    SystemConfig cfg = mixConfig(core, mix, ctl);
     if (cfg.numCores == 1) {
         fatal_if(cfg.benchmarks.size() != core.threads,
                  "mix size %zu != %u threads", cfg.benchmarks.size(),
@@ -91,7 +100,7 @@ runMix(const CoreParams &core, const WorkloadMix &mix,
                  "mix size %zu > %u cores x %u threads",
                  cfg.benchmarks.size(), cfg.numCores, core.threads);
     }
-    System sys(cfg);
+    System sys(std::move(cfg));
     if (ctl.wedgeAtCycle) {
         for (unsigned c = 0; c < sys.numCores(); ++c)
             if (sys.hasCore(c))

@@ -51,6 +51,10 @@ struct SimControls
     unsigned numCores = 1;
     std::string allocation = "round-robin";
 
+    /** Warm-state memo for the systems of one sweep
+     * (SystemConfig::warmMemo); null runs every warmup walk. */
+    WarmMemo *warmMemo = nullptr;
+
     /** Read SHELFSIM_SCALE and scale cycle counts. */
     static SimControls fromEnv();
 };
@@ -58,6 +62,10 @@ struct SimControls
 /** The paper's 28 balanced-random mixes of @p threads threads. */
 std::vector<WorkloadMix> standardMixes(unsigned threads,
                                        uint64_t seed = 42);
+
+/** The system runMix() builds for one mix on one configuration. */
+SystemConfig mixConfig(const CoreParams &core, const WorkloadMix &mix,
+                       const SimControls &ctl);
 
 /** Run one mix on one core configuration. */
 SystemResult runMix(const CoreParams &core, const WorkloadMix &mix,

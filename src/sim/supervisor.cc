@@ -7,7 +7,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <thread>
+#include <tuple>
 
 #include "base/json.hh"
 #include "base/logging.hh"
@@ -62,6 +64,38 @@ elapsedSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
+}
+
+/** The simulation controls of a generated job, fault hooks aside. */
+SimControls
+controlsOf(const validate::SweepJobSpec &spec)
+{
+    SimControls ctl;
+    ctl.warmupCycles = static_cast<Cycle>(spec.warmupCycles);
+    ctl.measureCycles = static_cast<Cycle>(spec.measureCycles);
+    ctl.seed = spec.seed;
+    ctl.numCores = spec.numCores;
+    ctl.allocation = spec.allocation;
+    return ctl;
+}
+
+WorkloadMix
+mixOf(const validate::SweepJobSpec &spec)
+{
+    WorkloadMix mix;
+    mix.benchmarks = spec.mixBenchmarks;
+    return mix;
+}
+
+/** The warm-memo key of an in-process job; empty for a job that
+ * walks its own warmup (fault-marked, trace-backed or multi-core). */
+std::string
+warmKeyOf(const validate::SweepJobSpec &spec)
+{
+    if (!spec.fault.empty() || !spec.tracePaths.empty())
+        return "";
+    return System::warmKey(
+        mixConfig(spec.core, mixOf(spec), controlsOf(spec)));
 }
 
 } // namespace
@@ -175,7 +209,8 @@ SweepSupervisor::runIsolated(const validate::SweepJobSpec &spec)
 }
 
 JobOutcome
-SweepSupervisor::execute(const validate::SweepJobSpec &spec)
+SweepSupervisor::execute(const validate::SweepJobSpec &spec,
+                         WarmMemo *memo)
 {
     auto t0 = std::chrono::steady_clock::now();
     JobOutcome oc;
@@ -205,7 +240,7 @@ SweepSupervisor::execute(const validate::SweepJobSpec &spec)
     } else {
         oc.attempts = 1;
         std::string jerr;
-        if (tryRunSweepJob(spec, oc.result, jerr)) {
+        if (tryRunSweepJob(spec, oc.result, jerr, memo)) {
             oc.status = JobOutcome::Status::Ok;
         } else {
             // Deterministic input failure (bad trace file): the
@@ -264,9 +299,27 @@ SweepSupervisor::run(const std::vector<validate::SweepJobSpec> &jobs)
     fatal_if(!journal.open(opt.journalPath, &jerr), "%s",
              jerr.c_str());
 
+    if (!opt.isolate) {
+        // Count each warm key's users before any job runs, so the
+        // memo drops an entry as soon as its last user has it.
+        std::vector<std::string> keys;
+        for (size_t i : pending) {
+            keys.push_back(warmKeyOf(jobs[i]));
+            if (!keys.back().empty())
+                warmMemo.expect(keys.back());
+        }
+        std::vector<size_t> order = dispatchOrder(
+            keys, opt.jobs ? opt.jobs : defaultJobs());
+        std::vector<size_t> byOrder;
+        for (size_t k : order)
+            byOrder.push_back(pending[k]);
+        pending = std::move(byOrder);
+    }
+
+    WarmMemo *memo = opt.isolate ? nullptr : &warmMemo;
     runJobs(pending.size(), [&](size_t k) {
         size_t i = pending[k];
-        JobOutcome oc = execute(jobs[i]);
+        JobOutcome oc = execute(jobs[i], memo);
         journal.append(journalLine(jobs[i].toJson(), oc));
         outcomes[i] = std::move(oc);
         if (progress)
@@ -274,6 +327,37 @@ SweepSupervisor::run(const std::vector<validate::SweepJobSpec> &jobs)
     }, opt.jobs);
 
     return outcomes;
+}
+
+std::vector<size_t>
+SweepSupervisor::dispatchOrder(const std::vector<std::string> &keys,
+                               unsigned workers)
+{
+    struct Slot
+    {
+        size_t group, rank, index;
+    };
+    std::map<std::string, size_t> groupOf;
+    std::vector<size_t> groupSize;
+    std::vector<Slot> slots;
+    for (size_t k = 0; k < keys.size(); ++k) {
+        size_t g = groupSize.size();
+        if (!keys[k].empty())
+            g = groupOf.emplace(keys[k], g).first->second;
+        if (g == groupSize.size())
+            groupSize.push_back(0);
+        slots.push_back({ g, groupSize[g]++, k });
+    }
+    size_t w = std::max(1u, workers);
+    std::stable_sort(slots.begin(), slots.end(),
+                     [w](const Slot &a, const Slot &b) {
+        return std::make_tuple(a.group / w, a.rank, a.group) <
+            std::make_tuple(b.group / w, b.rank, b.group);
+    });
+    std::vector<size_t> order;
+    for (const Slot &s : slots)
+        order.push_back(s.index);
+    return order;
 }
 
 size_t
@@ -331,7 +415,7 @@ SweepSupervisor::failureSummary(
 
 bool
 tryRunSweepJob(const validate::SweepJobSpec &spec,
-               SystemResult &res, std::string &err)
+               SystemResult &res, std::string &err, WarmMemo *memo)
 {
     if (spec.fault == "crash") {
         std::raise(SIGSEGV);
@@ -354,12 +438,7 @@ tryRunSweepJob(const validate::SweepJobSpec &spec,
 
     CoreParams core = spec.core;
     core.validate();
-    SimControls ctl;
-    ctl.warmupCycles = static_cast<Cycle>(spec.warmupCycles);
-    ctl.measureCycles = static_cast<Cycle>(spec.measureCycles);
-    ctl.seed = spec.seed;
-    ctl.numCores = spec.numCores;
-    ctl.allocation = spec.allocation;
+    SimControls ctl = controlsOf(spec);
     if (spec.fault == "wedge") {
         // Stall retirement partway into warmup and clamp the
         // forward-progress watchdog so it is guaranteed to fire
@@ -378,9 +457,8 @@ tryRunSweepJob(const validate::SweepJobSpec &spec,
     }
 
     if (spec.tracePaths.empty()) {
-        WorkloadMix mix;
-        mix.benchmarks = spec.mixBenchmarks;
-        res = runMix(core, mix, ctl);
+        ctl.warmMemo = memo;
+        res = runMix(core, mixOf(spec), ctl);
         return true;
     }
 

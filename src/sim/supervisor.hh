@@ -29,7 +29,10 @@
  * the worker pool exactly like runJobs() — same speed, same results
  * — while keeping the journal/resume and retry bookkeeping, so
  * harnesses can adopt the supervisor without behavior change and
- * flip isolation on per run.
+ * flip isolation on per run. In-process run() calls additionally
+ * share one functional warmup among the jobs that would walk the
+ * same one (the window configurations of one mix; see WarmMemo) and
+ * dispatch such jobs so that they follow each other.
  */
 
 #ifndef SHELFSIM_SIM_SUPERVISOR_HH
@@ -185,6 +188,25 @@ class SweepSupervisor
                                        double baseSeconds,
                                        uint64_t seed);
 
+    /**
+     * The order in which run() dispatches in-process jobs, given
+     * each job's warm-memo key (empty: the job shares no warm state)
+     * and the worker count. Jobs with equal keys form a group;
+     * groups are numbered by first appearance, a keyless job is a
+     * group of its own, and jobs go out sorted by
+     * (group / workers, rank within group, group). A worker pool so
+     * starts one group per worker and then serves each group's later
+     * jobs after its first has published the warm state; with one
+     * worker, a list whose groups are contiguous keeps its order.
+     */
+    static std::vector<size_t>
+    dispatchOrder(const std::vector<std::string> &keys,
+                  unsigned workers);
+
+    /** Warm-memo entries still held: run() drops every entry once
+     * its last job has used it, so this is 0 between runs. */
+    size_t warmMemoEntries() const { return warmMemo.size(); }
+
     /** Number of quarantined outcomes. */
     static size_t failures(const std::vector<JobOutcome> &outcomes);
 
@@ -198,10 +220,14 @@ class SweepSupervisor
     failureSummary(const std::vector<JobOutcome> &outcomes);
 
   private:
-    JobOutcome execute(const validate::SweepJobSpec &spec);
+    JobOutcome execute(const validate::SweepJobSpec &spec,
+                       WarmMemo *memo = nullptr);
     JobOutcome runIsolated(const validate::SweepJobSpec &spec);
 
     SupervisorOptions opt;
+    /** Shares functional-warmup state among the in-process jobs of
+     * one run() call (System's WarmMemo). */
+    WarmMemo warmMemo;
     std::function<void(size_t, const JobOutcome &)> progress;
 };
 
@@ -219,10 +245,13 @@ SystemResult runSweepJob(const validate::SweepJobSpec &spec);
  * Returns false with a precise message (trace path, TraceError
  * name, detail) in @p err; such failures are deterministic, so
  * callers quarantine without retrying. Content hashes carried by
- * the spec are re-verified against the file before it runs.
+ * the spec are re-verified against the file before it runs. A
+ * generated single-core job shares its functional warmup through
+ * @p memo when one is given.
  */
 bool tryRunSweepJob(const validate::SweepJobSpec &spec,
-                    SystemResult &res, std::string &err);
+                    SystemResult &res, std::string &err,
+                    WarmMemo *memo = nullptr);
 
 /** Exit/quarantine code for deterministic job-input failures (bad
  * trace file): distinct from crash codes so failure summaries and

@@ -226,6 +226,94 @@ SystemResult::fromJson(const std::string &json)
     return r;
 }
 
+void
+WarmMemo::expect(const std::string &key)
+{
+    std::lock_guard<std::mutex> lk(m);
+    ++entries[key].users;
+}
+
+bool
+WarmMemo::copyInto(const std::string &key, MemHierarchy &mem,
+                   GsharePredictor &bpred)
+{
+    std::shared_ptr<const State> st;
+    {
+        std::lock_guard<std::mutex> lk(m);
+        auto it = entries.find(key);
+        if (it == entries.end() || !it->second.state)
+            return false;
+        st = it->second.state;
+        if (--it->second.users == 0)
+            entries.erase(it);
+    }
+    // Copy-assign into the live objects: the core keeps references
+    // to the hierarchy's caches and to its predictor.
+    mem.l1i() = st->l1i;
+    mem.l1d() = st->l1d;
+    mem.l2() = st->l2;
+    bpred = st->bpred;
+    return true;
+}
+
+void
+WarmMemo::publish(const std::string &key, const MemHierarchy &mem,
+                  const GsharePredictor &bpred)
+{
+    std::lock_guard<std::mutex> lk(m);
+    auto it = entries.find(key);
+    if (it == entries.end())
+        return;
+    if (--it->second.users == 0) {
+        entries.erase(it);
+        return;
+    }
+    if (!it->second.state) {
+        it->second.state = std::make_shared<const State>(
+            State{ mem.l1i(), mem.l1d(), mem.l2(), bpred });
+    }
+}
+
+size_t
+WarmMemo::size() const
+{
+    std::lock_guard<std::mutex> lk(m);
+    return entries.size();
+}
+
+size_t
+System::traceLengthOf(const SystemConfig &cfg)
+{
+    if (cfg.traceLength)
+        return cfg.traceLength;
+    // Enough headroom that wraparound is rare: the core retires at
+    // most issueWidth per cycle shared across threads.
+    return static_cast<size_t>((cfg.warmupCycles + cfg.measureCycles) *
+                               (cfg.core.issueWidth + 1));
+}
+
+std::string
+System::warmKey(const SystemConfig &cfg)
+{
+    if (cfg.numCores != 1 || !cfg.externalTraces.empty())
+        return "";
+    size_t walk = std::min(traceLengthOf(cfg), kWarmupWalk);
+    std::string key = csprintf("threads=%zu;", cfg.benchmarks.size());
+    for (size_t t = 0; t < cfg.benchmarks.size(); ++t) {
+        key += csprintf("%s,%llu,%llu,%zu;", cfg.benchmarks[t].c_str(),
+                        (unsigned long long)(cfg.seed * 1000003ULL + t),
+                        (unsigned long long)(static_cast<Addr>(t) << 30),
+                        walk);
+    }
+    for (const CacheParams *c : { &cfg.mem.l1i, &cfg.mem.l1d,
+                                  &cfg.mem.l2 }) {
+        key += csprintf("%s,%u,%u,%u,%u,%u;", c->name.c_str(),
+                        c->sizeKB, c->assoc, c->blockBytes,
+                        c->hitLatency, c->mshrs);
+    }
+    return key + csprintf("mem=%u", cfg.mem.memLatency);
+}
+
 System::System(SystemConfig config)
     : cfg(std::move(config))
 {
@@ -248,45 +336,31 @@ System::System(SystemConfig config)
                  cfg.numCores, cfg.core.threads);
     }
 
-    size_t trace_len = cfg.traceLength;
-    if (trace_len == 0) {
-        // Enough headroom that wraparound is rare: the core retires
-        // at most issueWidth per cycle shared across threads.
-        trace_len = static_cast<size_t>(
-            (cfg.warmupCycles + cfg.measureCycles) *
-            (cfg.core.issueWidth + 1));
-    }
-
     // A thread's workload identity is global: seed and address-space
     // slice depend only on the global thread id, never on where the
-    // allocation policy places it.
-    if (!cfg.externalTraces.empty()) {
-        fatal_if(cfg.externalTraces.size() != total,
-                 "%zu external traces for %zu threads",
-                 cfg.externalTraces.size(), total);
-        traces = cfg.externalTraces;
-        for (unsigned t = 0; t < total; ++t) {
-            if (!traces[t].empty())
-                continue;
-            // Mixed workload: an empty per-thread entry means
-            // "generate this thread" — its benchmarks entry must
-            // then name a real profile, not just a label.
-            const BenchmarkProfile &prof =
-                spec2006Profile(cfg.benchmarks[t]);
-            TraceGenerator gen(prof, cfg.seed * 1000003ULL + t,
-                               static_cast<Addr>(t) << 30);
-            traces[t] = gen.generate(trace_len);
+    // allocation policy places it. Each thread gets a disjoint 1GB
+    // address-space slice. An external trace is viewed in place; an
+    // empty entry means "generate this thread", so its benchmarks
+    // entry must name a real profile, not just a label.
+    fatal_if(!cfg.externalTraces.empty() &&
+             cfg.externalTraces.size() != total,
+             "%zu external traces for %zu threads",
+             cfg.externalTraces.size(), total);
+    size_t trace_len = traceLengthOf(cfg);
+    for (unsigned t = 0; t < total; ++t) {
+        if (!cfg.externalTraces.empty() &&
+            !cfg.externalTraces[t].empty()) {
+            sources.push_back(
+                std::make_unique<InstSource>(cfg.externalTraces[t]));
+            continue;
         }
-    } else {
-        // Each thread gets a disjoint 1GB address-space slice.
-        for (unsigned t = 0; t < total; ++t) {
-            const BenchmarkProfile &prof =
-                spec2006Profile(cfg.benchmarks[t]);
-            TraceGenerator gen(prof, cfg.seed * 1000003ULL + t,
-                               static_cast<Addr>(t) << 30);
-            traces.push_back(gen.generate(trace_len));
-        }
+        sources.push_back(std::make_unique<InstSource>(
+            spec2006Profile(cfg.benchmarks[t]),
+            cfg.seed * 1000003ULL + t, static_cast<Addr>(t) << 30,
+            trace_len));
     }
+    if (cfg.warmMemo)
+        memoKey = warmKey(cfg);
 
     if (cfg.numCores == 1) {
         hiers.push_back(std::make_unique<MemHierarchy>(cfg.mem));
@@ -351,30 +425,33 @@ System::buildCores()
             p.sqEntries = cfg.core.sqPerThread() * p.threads;
             p.shelfEntries = cfg.core.shelfPerThread() * p.threads;
         }
-        std::vector<const Trace *> trace_ptrs;
+        std::vector<InstSource *> srcs;
         for (unsigned t : ts)
-            trace_ptrs.push_back(&traces[t]);
-        cores[c] = std::make_unique<Core>(p, *hiers[c], trace_ptrs);
+            srcs.push_back(sources[t].get());
+        cores[c] = std::make_unique<Core>(p, *hiers[c], srcs);
     }
 }
 
 void
-System::warmupPhase()
+System::functionalWarmup()
 {
-    // Functional warmup (the equivalent of the paper's 100M-inst
-    // microarchitectural warming before the SimPoint): walk a prefix
-    // of each trace, installing code and data blocks in the caches
-    // and training the owning core's branch predictor, then run
-    // timed warmup.
+    // The equivalent of the paper's 100M-inst microarchitectural
+    // warming before the SimPoint, except that it walks the
+    // instructions the timed run then executes (EXPERIMENTS.md).
+    if (!memoKey.empty() &&
+        cfg.warmMemo->copyInto(memoKey, *hiers[0],
+                               cores[0]->branchPredictor())) {
+        return;
+    }
     size_t total = cfg.benchmarks.size();
     for (unsigned t = 0; t < total; ++t) {
         Core &c = *cores[assignment[t]];
         MemHierarchy &h = *hiers[assignment[t]];
         auto tid = static_cast<ThreadID>(localTid[t]);
-        const Trace &tr = traces[t];
-        size_t limit = std::min<size_t>(tr.size(), 65536);
+        InstSource &src = *sources[t];
+        size_t limit = std::min(src.length(), kWarmupWalk);
         for (size_t i = 0; i < limit; ++i) {
-            const TraceInst &inst = tr[i];
+            const TraceInst &inst = src.at(i);
             h.warmInst(inst.pc);
             if (inst.isMem())
                 h.warmData(inst.addr);
@@ -382,6 +459,16 @@ System::warmupPhase()
                 c.branchPredictor().update(tid, inst.pc, inst.taken);
         }
     }
+    if (!memoKey.empty()) {
+        cfg.warmMemo->publish(memoKey, *hiers[0],
+                              cores[0]->branchPredictor());
+    }
+}
+
+void
+System::warmupPhase()
+{
+    functionalWarmup();
     for (auto &c : cores) {
         if (!c)
             continue;

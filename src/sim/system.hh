@@ -18,7 +18,9 @@
 #ifndef SHELFSIM_SIM_SYSTEM_HH
 #define SHELFSIM_SIM_SYSTEM_HH
 
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -26,9 +28,12 @@
 #include "energy/energy_model.hh"
 #include "mem/hierarchy.hh"
 #include "workload/generator.hh"
+#include "workload/inst_source.hh"
 
 namespace shelf
 {
+
+class WarmMemo;
 
 struct SystemConfig
 {
@@ -72,6 +77,14 @@ struct SystemConfig
      * can share a core.
      */
     std::vector<Trace> externalTraces;
+
+    /**
+     * Optional in-process memo of functional-warmup state (see
+     * WarmMemo), shared by the systems of one sweep. Only a
+     * single-core system without external traces consults it; any
+     * other system walks its own warmup. Never changes a result.
+     */
+    WarmMemo *warmMemo = nullptr;
 };
 
 struct ThreadResult
@@ -154,11 +167,86 @@ struct SystemResult
     bool rehydrated = false;
 };
 
+/**
+ * Functional-warmup state shared across the systems of one sweep.
+ *
+ * The warmup walk of a single-core system reads the first
+ * min(len, kWarmupWalk) instructions of each thread and touches only
+ * the caches and the branch predictor, so every system with the same
+ * traces and hierarchy parameters ends the walk in the same state
+ * whatever its window configuration (the four Figure-10 configs of
+ * one mix, say). The first such system to warm up walks and
+ * publishes a copy of its caches and predictor; the others copy that
+ * in instead of walking again.
+ *
+ * The owner announces each system that will use a key with expect()
+ * before any of them runs; an entry is dropped as soon as its last
+ * expected user has finished with it, so a drained memo holds
+ * nothing. Lookups never wait: two systems that miss at the same
+ * time both walk, which costs time but not correctness. Thread-safe.
+ */
+class WarmMemo
+{
+  public:
+    /** Announce one more system that will warm up under @p key. */
+    void expect(const std::string &key);
+
+    /**
+     * If a state is published for @p key, copy it into @p mem and
+     * @p bpred, count one user of the key done and return true;
+     * otherwise leave both untouched and return false.
+     */
+    bool copyInto(const std::string &key, MemHierarchy &mem,
+                  GsharePredictor &bpred);
+
+    /**
+     * A user of @p key that walked itself is done; keep a copy of
+     * its warmed @p mem and @p bpred if later users still expect it.
+     */
+    void publish(const std::string &key, const MemHierarchy &mem,
+                 const GsharePredictor &bpred);
+
+    /** Keys with users still expected. */
+    size_t size() const;
+
+  private:
+    struct State
+    {
+        Cache l1i, l1d, l2;
+        GsharePredictor bpred;
+    };
+    struct Entry
+    {
+        unsigned users = 0;
+        std::shared_ptr<const State> state;
+    };
+
+    mutable std::mutex m;
+    std::map<std::string, Entry> entries;
+};
+
 class System
 {
   public:
+    /** Instructions per thread the functional warmup walks (at most
+     * the trace length). */
+    static constexpr size_t kWarmupWalk = 65536;
+
     explicit System(SystemConfig config);
     ~System();
+
+    /** Trace length per thread that @p cfg gets: its traceLength,
+     * or one sized from its cycle budget. */
+    static size_t traceLengthOf(const SystemConfig &cfg);
+
+    /**
+     * The WarmMemo key of @p cfg: everything its warmup walk reads
+     * (each thread's profile, seed, address base and walk length)
+     * plus the thread count and hierarchy parameters. Empty when
+     * @p cfg cannot share warm state (several cores, or external
+     * traces).
+     */
+    static std::string warmKey(const SystemConfig &cfg);
 
     /** Run warmup + measurement and return the collected result. */
     SystemResult run();
@@ -190,6 +278,12 @@ class System
         return sharedL2 ? *sharedL2 : hiers.at(0)->l2();
     }
 
+    /** Global thread @p t's instruction source. */
+    const InstSource &source(unsigned t) const
+    {
+        return *sources.at(t);
+    }
+
     /** Global thread -> core placement chosen by the allocation
      * policy (after run() with the dynamic policy: the final
      * placement). */
@@ -203,13 +297,20 @@ class System
     void buildCores();
     /** Functional warmup + predictor reset + timed warmup. */
     void warmupPhase();
+    /** Walk a prefix of each thread's stream, installing code and
+     * data blocks and training the owning core's predictor. */
+    void functionalWarmup();
     /** Advance every core by @p cycles in cycle-lockstep. */
     void runAll(Cycle cycles);
     /** Multi-core variant of statsReport(). */
     std::string multiCoreStatsReport() const;
 
     SystemConfig cfg;
-    std::vector<Trace> traces;
+    /** One per global thread: generated lazily, or a view of the
+     * thread's entry in cfg.externalTraces. */
+    std::vector<std::unique_ptr<InstSource>> sources;
+    /** warmKey(cfg) when cfg.warmMemo is used, else empty. */
+    std::string memoKey;
     /** Shared L2 backing every core's private L1s; null in
      * single-core mode (the lone hierarchy then owns its L2). */
     std::unique_ptr<Cache> sharedL2;

@@ -1,6 +1,7 @@
 #include "workload/generator.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "base/logging.hh"
 
@@ -9,8 +10,6 @@ namespace shelf
 
 namespace
 {
-// Keep the most recent writes available for dependence sampling.
-constexpr size_t kWriteHistory = 48;
 // Number of strided streams per thread.
 constexpr size_t kNumStreams = 4;
 // Integer destinations rotate over the first registers; the remainder
@@ -25,6 +24,8 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
     : prof(profile), rng(seed ^ 0xabcdef12345ULL), dataBase(data_base)
 {
     prof.validate();
+    if (prof.depGeoP < 1.0)
+        depGeoLog = std::log1p(-prof.depGeoP);
 
     // Spread stream pointers across the working set; the extra odd
     // stagger keeps concurrent streams out of the same cache set.
@@ -53,6 +54,14 @@ TraceGenerator::TraceGenerator(const BenchmarkProfile &profile,
     }
 }
 
+size_t
+TraceGenerator::depDistance()
+{
+    if (prof.depGeoP >= 1.0)
+        return 0;
+    return rng.geometricLog(depGeoLog);
+}
+
 RegId
 TraceGenerator::pickIntSource()
 {
@@ -63,7 +72,7 @@ TraceGenerator::pickIntSource()
         return static_cast<RegId>(
             kIntDstRegs + rng.below(kNumIntRegs - kIntDstRegs));
     }
-    size_t d = rng.geometric(prof.depGeoP);
+    size_t d = depDistance();
     if (d >= intWrites.size())
         d = intWrites.size() - 1;
     return intWrites[d];
@@ -77,7 +86,7 @@ TraceGenerator::pickFpSource()
             kFirstFpReg + kFpDstRegs +
             rng.below(kNumFpRegs - kFpDstRegs));
     }
-    size_t d = rng.geometric(prof.depGeoP);
+    size_t d = depDistance();
     if (d >= fpWrites.size())
         d = fpWrites.size() - 1;
     return fpWrites[d];
@@ -90,9 +99,7 @@ TraceGenerator::pickIntDest()
     intDstCursor = (intDstCursor + 1 +
                     static_cast<unsigned>(rng.below(3))) % kIntDstRegs;
     RegId r = static_cast<RegId>(intDstCursor);
-    intWrites.insert(intWrites.begin(), r);
-    if (intWrites.size() > kWriteHistory)
-        intWrites.pop_back();
+    intWrites.push(r);
     return r;
 }
 
@@ -102,9 +109,7 @@ TraceGenerator::pickFpDest()
     fpDstCursor = (fpDstCursor + 1 +
                    static_cast<unsigned>(rng.below(5))) % kFpDstRegs;
     RegId r = static_cast<RegId>(kFirstFpReg + fpDstCursor);
-    fpWrites.insert(fpWrites.begin(), r);
-    if (fpWrites.size() > kWriteHistory)
-        fpWrites.pop_back();
+    fpWrites.push(r);
     return r;
 }
 
@@ -235,11 +240,16 @@ TraceGenerator::nextInst()
 Trace
 TraceGenerator::generate(size_t n)
 {
-    Trace trace;
-    trace.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        trace.push_back(nextInst());
+    Trace trace(n);
+    generateInto(trace.data(), n);
     return trace;
+}
+
+void
+TraceGenerator::generateInto(TraceInst *out, size_t n)
+{
+    for (size_t i = 0; i < n; ++i)
+        out[i] = nextInst();
 }
 
 Trace

@@ -38,8 +38,13 @@ class TraceGenerator
     TraceGenerator(const BenchmarkProfile &profile, uint64_t seed,
                    Addr data_base = 0);
 
-    /** Generate @p n instructions (appends nothing; fresh trace). */
+    /** Generate the next @p n instructions of the stream (the first
+     * call starts at instruction 0) as a fresh trace. */
     Trace generate(size_t n);
+
+    /** Like generate(), but writes the next @p n instructions to
+     * @p out (lazy sources produce their stream chunk by chunk). */
+    void generateInto(TraceInst *out, size_t n);
 
     /** The profile being generated. */
     const BenchmarkProfile &profile() const { return prof; }
@@ -58,6 +63,43 @@ class TraceGenerator
   private:
     TraceInst nextInst();
 
+    /**
+     * The most recent destination registers, most recent first, kept
+     * for dependence sampling: a fixed ring of kCapacity entries
+     * (the oldest falls off).
+     */
+    class WriteHistory
+    {
+      public:
+        static constexpr size_t kCapacity = 48;
+
+        bool empty() const { return count == 0; }
+        size_t size() const { return count; }
+        /** The @p d-th most recent write (0 = the latest). */
+        RegId
+        operator[](size_t d) const
+        {
+            return regs[(head + d) % kCapacity];
+        }
+        RegId front() const { return regs[head]; }
+
+        void
+        push(RegId r)
+        {
+            head = (head + kCapacity - 1) % kCapacity;
+            regs[head] = r;
+            if (count < kCapacity)
+                ++count;
+        }
+
+      private:
+        RegId regs[kCapacity] = {};
+        size_t head = 0;
+        size_t count = 0;
+    };
+
+    /** Dependence distance: geometric(depGeoP) failures. */
+    size_t depDistance();
     RegId pickIntSource();
     RegId pickFpSource();
     RegId pickIntDest();
@@ -68,10 +110,13 @@ class TraceGenerator
     Random rng;
     Addr dataBase;
 
-    /** Recent integer destination registers, most recent first. */
-    std::vector<RegId> intWrites;
-    /** Recent FP destination registers, most recent first. */
-    std::vector<RegId> fpWrites;
+    /** log1p(-prof.depGeoP), hoisted out of depDistance(). */
+    double depGeoLog = 0;
+
+    /** Recent integer destination registers. */
+    WriteHistory intWrites;
+    /** Recent FP destination registers. */
+    WriteHistory fpWrites;
 
     /** Destination rotation cursors. */
     unsigned intDstCursor = 0;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 
 #include "core/core.hh"
 #include "mem/hierarchy.hh"
@@ -61,6 +62,15 @@ struct GoldenParam
     std::string label;
     CoreParams params;
 };
+
+/** Print a parameter as its label: without this, gtest prints its
+ * bytes (string heap pointers included) and the discovered test
+ * names change from build to build. */
+void
+PrintTo(const GoldenParam &p, std::ostream *os)
+{
+    *os << p.label;
+}
 
 std::vector<GoldenParam>
 allConfigs()

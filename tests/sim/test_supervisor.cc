@@ -122,6 +122,64 @@ TEST(Supervisor, InProcessMatchesRunMix)
               fullJson(runSweepJob(spec)));
 }
 
+TEST(Supervisor, SharedWarmupMatchesAcrossJobCounts)
+{
+    // Mix-major Figure-10 style list: the four configs of a mix
+    // share one warm key, so all but one of them copy warm state in.
+    std::vector<validate::SweepJobSpec> specs;
+    std::vector<WorkloadMix> mixes = standardMixes(4);
+    for (size_t m : { 0, 5, 11 }) {
+        for (const CoreParams &c : { baseCore64(4), shelfCore(4, false),
+                                     shelfCore(4, true),
+                                     baseCore128(4) }) {
+            validate::SweepJobSpec spec;
+            spec.core = c;
+            spec.mixBenchmarks = mixes[m].benchmarks;
+            spec.warmupCycles = 1000;
+            spec.measureCycles = 3000;
+            specs.push_back(spec);
+        }
+    }
+    // A job with a key of its own in the middle of the list.
+    specs.insert(specs.begin() + 6, tinySpec(3));
+
+    std::vector<std::vector<JobOutcome>> runs;
+    for (unsigned jobs : { 1u, 4u }) {
+        SupervisorOptions so;
+        so.jobs = jobs;
+        SweepSupervisor sup(so);
+        runs.push_back(sup.run(specs));
+        EXPECT_EQ(sup.warmMemoEntries(), 0u) << jobs << " jobs";
+    }
+    for (size_t i = 0; i < specs.size(); ++i) {
+        ASSERT_TRUE(runs[0][i].ok() && runs[1][i].ok()) << i;
+        std::string alone = fullJson(runSweepJob(specs[i]));
+        EXPECT_EQ(fullJson(runs[0][i].result), alone) << i;
+        EXPECT_EQ(fullJson(runs[1][i].result), alone) << i;
+    }
+}
+
+TEST(Supervisor, DispatchOrderStartsOneGroupPerWorker)
+{
+    // Three groups of three, mix-major, with a keyless job (its own
+    // group) between the first two.
+    std::vector<std::string> keys = { "a", "a", "a", "", "b", "b",
+                                      "b", "c", "c", "c" };
+    std::vector<size_t> identity(keys.size());
+    for (size_t i = 0; i < identity.size(); ++i)
+        identity[i] = i;
+    EXPECT_EQ(SweepSupervisor::dispatchOrder(keys, 1), identity);
+    // Groups: a=0, keyless=1, b=2, c=3. Two workers: block {a, -}
+    // then block {b, c}, each by rank first.
+    EXPECT_EQ(SweepSupervisor::dispatchOrder(keys, 2),
+              (std::vector<size_t>{ 0, 3, 1, 2, 4, 7, 5, 8, 6, 9 }));
+    EXPECT_EQ(SweepSupervisor::dispatchOrder(keys, 4),
+              (std::vector<size_t>{ 0, 3, 4, 7, 1, 5, 8, 2, 6, 9 }));
+    // An interleaved list regroups even with one worker.
+    EXPECT_EQ(SweepSupervisor::dispatchOrder({ "a", "b", "a", "b" }, 1),
+              (std::vector<size_t>{ 0, 2, 1, 3 }));
+}
+
 TEST(Supervisor, IsolatedMatchesInProcess)
 {
     validate::SweepJobSpec spec = tinySpec();

@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "base/json.hh"
+#include "base/strutil.hh"
 #include "metrics/throughput.hh"
 #include "sim/experiment.hh"
 #include "sim/system.hh"
@@ -268,4 +271,139 @@ TEST(SimControlsEnv, ScaleScalesAndClampsTinyValues)
     SimControls tiny = SimControls::fromEnv();
     EXPECT_EQ(tiny.measureCycles, 1u);
     unsetenv("SHELFSIM_SCALE");
+}
+
+namespace
+{
+
+/**
+ * Run the four Figure-10 configurations of standard mix @p m on
+ * default windows, once sharing one WarmMemo and once without, and
+ * require byte-identical results and stats reports. The first config
+ * walks the functional warmup; the other three copy its state in, so
+ * they materialise only what their timed run reads.
+ */
+void
+expectSharedWarmupIdentical(uint64_t seed, size_t m)
+{
+    WorkloadMix mix = standardMixes(4)[m];
+    std::vector<CoreParams> configs = { baseCore64(4), shelfCore(4, false),
+                                        shelfCore(4, true),
+                                        baseCore128(4) };
+    SimControls shared, plain;
+    shared.seed = plain.seed = seed;
+    WarmMemo memo;
+    shared.warmMemo = &memo;
+    std::string key = System::warmKey(mixConfig(configs[0], mix, shared));
+    ASSERT_FALSE(key.empty());
+    for (const CoreParams &c : configs) {
+        ASSERT_EQ(System::warmKey(mixConfig(c, mix, shared)), key);
+        memo.expect(key);
+    }
+
+    for (size_t c = 0; c < configs.size(); ++c) {
+        std::string label = csprintf("seed %llu mix %zu config %s",
+                                     (unsigned long long)seed, m,
+                                     configs[c].name.c_str());
+        System with(mixConfig(configs[c], mix, shared));
+        System without(mixConfig(configs[c], mix, plain));
+        EXPECT_EQ(with.run().toJson(JsonWriter::kFullPrecision),
+                  without.run().toJson(JsonWriter::kFullPrecision))
+            << label;
+        EXPECT_EQ(with.statsReport(), without.statsReport()) << label;
+
+        for (unsigned t = 0; t < 4; ++t) {
+            size_t read = with.core().fetchCursor(
+                static_cast<ThreadID>(t));
+            size_t got = with.source(t).materialised();
+            EXPECT_GE(got, read) << label;
+            if (c == 0) {
+                size_t readChunks =
+                    (read + InstSource::kChunkSize - 1) /
+                    InstSource::kChunkSize * InstSource::kChunkSize;
+                EXPECT_LE(got, std::max(System::kWarmupWalk, readChunks))
+                    << label;
+                EXPECT_GE(got, System::kWarmupWalk) << label;
+            } else {
+                EXPECT_LE(got, 16384u) << label;
+            }
+        }
+    }
+    EXPECT_EQ(memo.size(), 0u);
+}
+
+} // namespace
+
+TEST(WarmMemo, SharedWarmupIsByteIdenticalSeed1)
+{
+    for (size_t m : { 0, 9, 18 })
+        expectSharedWarmupIdentical(1, m);
+}
+
+TEST(WarmMemo, SharedWarmupIsByteIdenticalSeed2)
+{
+    for (size_t m : { 3, 14, 27 })
+        expectSharedWarmupIdentical(2, m);
+}
+
+TEST(WarmMemo, DropsAnEntryAfterItsLastExpectedUser)
+{
+    HierarchyParams hp;
+    MemHierarchy walked(hp), fresh(hp);
+    GsharePredictor bpWalked(13, 4, 2), bpFresh(13, 4, 2);
+    walked.warmData(0x1000);
+    walked.warmInst(0x40000000);
+    bpWalked.update(0, 0x40000000, true);
+
+    WarmMemo memo;
+    EXPECT_FALSE(memo.copyInto("k", fresh, bpFresh));
+    // A key nobody expects is never stored.
+    memo.publish("k", walked, bpWalked);
+    EXPECT_EQ(memo.size(), 0u);
+
+    memo.expect("k");
+    memo.expect("k");
+    memo.expect("k");
+    EXPECT_FALSE(memo.copyInto("k", fresh, bpFresh));
+    memo.publish("k", walked, bpWalked);
+    EXPECT_EQ(memo.size(), 1u);
+    EXPECT_TRUE(memo.copyInto("k", fresh, bpFresh));
+    EXPECT_EQ(fresh.l1d().residentReadyAt(0x1000), 0u);
+    EXPECT_EQ(fresh.l2().residentReadyAt(0x40000000), 0u);
+    EXPECT_EQ(bpFresh.lookups.value(), bpWalked.lookups.value());
+    EXPECT_EQ(memo.size(), 1u);
+    MemHierarchy last(hp);
+    GsharePredictor bpLast(13, 4, 2);
+    EXPECT_TRUE(memo.copyInto("k", last, bpLast));
+    EXPECT_EQ(memo.size(), 0u);
+    EXPECT_FALSE(memo.copyInto("k", last, bpLast));
+}
+
+TEST(WarmMemo, KeyCoversWhatTheWalkReads)
+{
+    SystemConfig a = smallConfig(baseCore64(4));
+    std::string key = System::warmKey(a);
+    EXPECT_FALSE(key.empty());
+    // Window structures do not enter the key...
+    SystemConfig b = a;
+    b.core = shelfCore(4, true);
+    EXPECT_EQ(System::warmKey(b), key);
+    // ...but every input of the walk does.
+    SystemConfig seed = a;
+    seed.seed = 2;
+    SystemConfig bench = a;
+    bench.benchmarks[3] = "mcf";
+    SystemConfig len = a;
+    len.traceLength = 1000;
+    SystemConfig mem = a;
+    mem.mem.l2.sizeKB = 1024;
+    for (const SystemConfig *c : { &seed, &bench, &len, &mem })
+        EXPECT_NE(System::warmKey(*c), key);
+    // Systems that cannot share warm state have no key.
+    SystemConfig cmp = a;
+    cmp.numCores = 2;
+    EXPECT_TRUE(System::warmKey(cmp).empty());
+    SystemConfig traced = a;
+    traced.externalTraces.assign(4, Trace());
+    EXPECT_TRUE(System::warmKey(traced).empty());
 }
